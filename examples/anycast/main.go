@@ -13,7 +13,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/collector"
+	"repro/internal/history"
 	"repro/internal/inet"
 	"repro/peering"
 )
@@ -143,12 +143,12 @@ func main() {
 	}
 	defer os.Remove(f.Name())
 	events := col.Events(time.Time{}, time.Time{})
-	if err := collector.WriteEvents(f, events); err != nil {
+	if err := history.WriteRecords(f, events); err != nil {
 		log.Fatal(err)
 	}
 	f.Close()
 	rd, _ := os.Open(f.Name())
-	back, err := collector.ReadEvents(rd)
+	back, err := history.ReadRecords(rd)
 	rd.Close()
 	if err != nil {
 		log.Fatal(err)

@@ -304,7 +304,7 @@ func (s *Session) Run() error {
 	}
 	if err := s.write(open); err != nil {
 		s.shutdown(err)
-		return s.closeErr
+		return s.terminalErr()
 	}
 
 	// Handshake: expect the peer's OPEN.
@@ -316,13 +316,13 @@ func (s *Session) Run() error {
 		} else {
 			s.shutdown(fmt.Errorf("bgp: waiting for OPEN: %w", err))
 		}
-		return s.closeErr
+		return s.terminalErr()
 	}
 	s.metrics.countIn(msg)
 	peerOpen, ok := msg.(*Open)
 	if !ok {
 		s.notifyAndClose(notif(ErrCodeFSM, 0))
-		return s.closeErr
+		return s.terminalErr()
 	}
 	if err := s.handleOpen(peerOpen); err != nil {
 		var ne *NotificationError
@@ -331,12 +331,12 @@ func (s *Session) Run() error {
 		} else {
 			s.shutdown(err)
 		}
-		return s.closeErr
+		return s.terminalErr()
 	}
 	s.setState(StateOpenConfirm)
 	if err := s.write(&Keepalive{}); err != nil {
 		s.shutdown(err)
-		return s.closeErr
+		return s.terminalErr()
 	}
 
 	s.touch()
@@ -353,7 +353,7 @@ func (s *Session) Run() error {
 			} else {
 				s.shutdown(err)
 			}
-			return s.closeErr
+			return s.terminalErr()
 		}
 		s.touch()
 		s.metrics.countIn(msg)
@@ -364,12 +364,19 @@ func (s *Session) Run() error {
 			} else {
 				s.shutdown(err)
 			}
-			return s.closeErr
+			return s.terminalErr()
 		}
 		if s.State() == StateIdle {
-			return s.closeErr
+			return s.terminalErr()
 		}
 	}
+}
+
+// terminalErr waits for the session to finish terminating and returns
+// its terminal error; closeErr is only safe to read once done is closed.
+func (s *Session) terminalErr() error {
+	<-s.done
+	return s.closeErr
 }
 
 // handleOpen validates the peer's OPEN and completes negotiation.
@@ -853,8 +860,8 @@ func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.Flush() // flush-on-close: drain MRAI-held advertisements first
 		_ = s.write(&Notification{Code: ErrCodeCease, Subcode: CeaseAdminShutdown})
+		s.closeErr = nil // before StateIdle, which Run may observe
 		s.setState(StateIdle)
-		s.closeErr = nil
 		_ = s.conn.Close()
 		close(s.done)
 		if s.cfg.OnClose != nil {
@@ -877,8 +884,8 @@ func (s *Session) notifyAndClose(ne *NotificationError) {
 
 func (s *Session) shutdown(err error) {
 	s.closeOnce.Do(func() {
+		s.closeErr = err // before StateIdle, which Run may observe
 		s.setState(StateIdle)
-		s.closeErr = err
 		_ = s.conn.Close()
 		close(s.done)
 		if s.cfg.OnClose != nil {

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -441,5 +443,49 @@ func TestSessionPureTwoOctet(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("update not delivered")
+	}
+}
+
+// TestCloseDuringLiveRun closes a session while its Run loop handles a
+// stream of UPDATEs from a scripted peer over net.Pipe. Run must return
+// Close's nil terminal error; under -race this catches a terminal error
+// published after StateIdle.
+func TestCloseDuringLiveRun(t *testing.T) {
+	opts := &codecOpts{as4: true}
+	open, _ := marshalMessage(&Open{Version: Version, ASN: 65002, HoldTime: 90,
+		BGPID: ip("10.0.0.2"), Caps: &Capabilities{AS4: 65002}}, opts)
+	ka, _ := marshalMessage(&Keepalive{}, opts)
+	update, _ := marshalMessage(&Update{
+		Attrs: &PathAttrs{Origin: OriginIGP, HasOrigin: true, NextHop: ip("10.0.0.2"),
+			ASPath: []ASPathSegment{{Type: ASSequence, ASNs: []uint32{65002}}}},
+		NLRI: []NLRI{{Prefix: pfx("192.0.2.0/24")}},
+	}, opts)
+	for i := 0; i < 100; i++ {
+		ca, cb := net.Pipe()
+		est := make(chan struct{})
+		s := NewSession(ca, Config{LocalASN: 65001, RemoteASN: 65002, LocalID: ip("10.0.0.1"),
+			OnEstablished: func() { close(est) }})
+		runErr := make(chan error, 1)
+		go func() { runErr <- s.Run() }()
+		go io.Copy(io.Discard, cb) // the peer reads everything s writes
+		go func() {
+			cb.Write(open)
+			cb.Write(ka)
+			for {
+				if _, err := cb.Write(update); err != nil {
+					return
+				}
+			}
+		}()
+		select {
+		case <-est:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: session did not establish", i)
+		}
+		s.Close()
+		if err := <-runErr; err != nil {
+			t.Fatalf("iteration %d: Run returned %v after Close, want nil", i, err)
+		}
+		cb.Close()
 	}
 }

@@ -1,7 +1,8 @@
 // Package collector implements a passive BGP route collector in the
 // style of RouteViews and RIPE RIS (paper §8): it peers with a router,
-// records every update with a timestamp, maintains the resulting RIB,
-// and serializes both to a compact MRT-inspired binary format.
+// records every update with a timestamp as a history.Record, and
+// maintains the resulting RIB. history.WriteRecords/ReadRecords dump and
+// re-read the feed.
 //
 // The paper positions Peering as complementary to collectors — they
 // observe, Peering interacts — and Peering experiments routinely consume
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/history"
 	"repro/internal/rib"
 	"repro/internal/telemetry"
 )
@@ -34,34 +36,10 @@ func init() {
 	withdrawsRecorded = reg.Counter("collector_events_total", telemetry.L("kind", "withdraw"))
 }
 
-// EventKind distinguishes recorded events.
-type EventKind uint8
-
-// Event kinds.
-const (
-	KindAnnounce EventKind = 1
-	KindWithdraw EventKind = 2
-)
-
-// Event is one recorded routing event.
-type Event struct {
-	// Time the collector observed the event.
-	Time time.Time
-	// Kind is announce or withdraw.
-	Kind EventKind
-	// Prefix affected.
-	Prefix netip.Prefix
-	// PathID is the ADD-PATH identifier on the collecting session.
-	PathID uint32
-	// ASPath of an announcement (nil for withdrawals).
-	ASPath []uint32
-	// NextHop of an announcement.
-	NextHop netip.Addr
-	// Communities attached to an announcement.
-	Communities []bgp.Community
-}
-
-// Collector is one collecting session.
+// Collector is one collecting session. Its events are history.Record
+// values: Peer is the collector name, Dups is 1, PathID is the ADD-PATH
+// identifier on the collecting session, and announcements carry their
+// AS path, communities and v4 or v6 next hop.
 type Collector struct {
 	// Name identifies the collector ("route-views.amsix").
 	Name string
@@ -69,7 +47,7 @@ type Collector struct {
 	sess *bgp.Session
 
 	mu     sync.Mutex
-	events []Event
+	events []history.Record
 	table  *rib.Table
 	// Now is the clock, injectable for deterministic tests.
 	Now func() time.Time
@@ -110,8 +88,8 @@ func (c *Collector) record(u *bgp.Update) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range append(append([]bgp.NLRI(nil), u.Withdrawn...), u.MPUnreach...) {
-		c.events = append(c.events, Event{
-			Time: now, Kind: KindWithdraw, Prefix: w.Prefix, PathID: uint32(w.ID),
+		c.events = append(c.events, history.Record{
+			Time: now, Peer: c.Name, Dups: 1, Withdraw: true, Prefix: w.Prefix, PathID: uint32(w.ID),
 		})
 		withdrawsRecorded.Inc()
 		c.table.Withdraw(w.Prefix, c.Name, w.ID)
@@ -120,8 +98,8 @@ func (c *Collector) record(u *bgp.Update) {
 		if u.Attrs == nil {
 			return
 		}
-		e := Event{
-			Time: now, Kind: KindAnnounce, Prefix: nlri.Prefix, PathID: uint32(nlri.ID),
+		e := history.Record{
+			Time: now, Peer: c.Name, Dups: 1, Prefix: nlri.Prefix, PathID: uint32(nlri.ID),
 			ASPath:      append([]uint32(nil), u.Attrs.ASPathFlat()...),
 			NextHop:     u.Attrs.NextHop,
 			Communities: append([]bgp.Community(nil), u.Attrs.Communities...),
@@ -146,10 +124,10 @@ func (c *Collector) record(u *bgp.Update) {
 
 // Events returns the recorded events in arrival order, optionally
 // bounded to [from, to) (zero times mean unbounded).
-func (c *Collector) Events(from, to time.Time) []Event {
+func (c *Collector) Events(from, to time.Time) []history.Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []Event
+	var out []history.Record
 	for _, e := range c.events {
 		if !from.IsZero() && e.Time.Before(from) {
 			continue
@@ -174,11 +152,11 @@ func (c *Collector) RIB() *rib.Table { return c.table }
 
 // History returns the events affecting a prefix, in order — the per-
 // prefix timeline tools like BGPStream reconstruct.
-func (c *Collector) History(prefix netip.Prefix) []Event {
+func (c *Collector) History(prefix netip.Prefix) []history.Record {
 	prefix = prefix.Masked()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []Event
+	var out []history.Record
 	for _, e := range c.events {
 		if e.Prefix == prefix {
 			out = append(out, e)
@@ -189,11 +167,11 @@ func (c *Collector) History(prefix netip.Prefix) []Event {
 
 // Snapshot returns the current best paths per prefix, sorted by prefix —
 // a TABLE_DUMP-style RIB view.
-func (c *Collector) Snapshot() []Event {
-	var out []Event
+func (c *Collector) Snapshot() []history.Record {
+	var out []history.Record
 	c.table.WalkBest(func(prefix netip.Prefix, best *rib.Path) bool {
-		out = append(out, Event{
-			Kind: KindAnnounce, Prefix: prefix, PathID: uint32(best.ID),
+		out = append(out, history.Record{
+			Peer: c.Name, Dups: 1, Prefix: prefix, PathID: uint32(best.ID),
 			ASPath:      best.Attrs.ASPathFlat(),
 			NextHop:     best.NextHop(),
 			Communities: best.Attrs.Communities,

@@ -1,11 +1,8 @@
 package collector
 
 import (
-	"bytes"
 	"net/netip"
-	"reflect"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/bgp"
@@ -90,8 +87,13 @@ func TestCollectorRecordsAnnouncesAndWithdraws(t *testing.T) {
 	}
 
 	hist := col.History(pfx("192.168.0.0/24"))
-	if len(hist) != 3 || hist[0].Kind != KindAnnounce || hist[2].Kind != KindWithdraw {
+	if len(hist) != 3 || hist[0].Withdraw || !hist[2].Withdraw {
 		t.Fatalf("history kinds: %+v", hist)
+	}
+	for _, e := range hist {
+		if e.Peer != col.Name || e.Dups != 1 {
+			t.Errorf("record peer/dups = %q/%d, want %q/1", e.Peer, e.Dups, col.Name)
+		}
 	}
 	if hist[0].ASPath[0] != 65001 || len(hist[0].Communities) != 1 {
 		t.Errorf("recorded attrs: %+v", hist[0])
@@ -127,136 +129,4 @@ func TestCollectorTimeWindow(t *testing.T) {
 	if all := col.Events(time.Time{}, time.Time{}); len(all) != 2 {
 		t.Errorf("unbounded window: %d", len(all))
 	}
-}
-
-func TestDumpRoundTrip(t *testing.T) {
-	events := []Event{
-		{Time: time.Unix(1700000000, 123), Kind: KindAnnounce, Prefix: pfx("192.168.0.0/24"),
-			PathID: 7, ASPath: []uint32{47065, 61574}, NextHop: ip("127.65.0.1"),
-			Communities: []bgp.Community{bgp.NewCommunity(47065, 1)}},
-		{Time: time.Unix(1700000060, 0), Kind: KindWithdraw, Prefix: pfx("192.168.0.0/24"), PathID: 7},
-		{Time: time.Unix(1700000120, 0), Kind: KindAnnounce, Prefix: pfx("2001:db8::/32"),
-			PathID: 1, ASPath: []uint32{4200000001}, NextHop: ip("2001:db8::1")},
-	}
-	var buf bytes.Buffer
-	if err := WriteEvents(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("records = %d", len(got))
-	}
-	for i := range events {
-		if !events[i].Time.Equal(got[i].Time) {
-			t.Errorf("record %d time %v vs %v", i, got[i].Time, events[i].Time)
-		}
-		g, w := got[i], events[i]
-		g.Time, w.Time = time.Time{}, time.Time{}
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("record %d:\n got %+v\nwant %+v", i, g, w)
-		}
-	}
-}
-
-func TestDumpRejectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEvents(&buf, []Event{{Time: time.Unix(0, 0), Kind: KindAnnounce,
-		Prefix: pfx("10.0.0.0/8"), NextHop: ip("1.1.1.1"), ASPath: []uint32{1}}}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Corrupt the magic.
-	bad := append([]byte(nil), data...)
-	bad[0] = 0
-	if _, err := ReadEvents(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupt magic accepted")
-	}
-	// Truncate mid-record.
-	if _, err := ReadEvents(bytes.NewReader(data[:len(data)-3])); err == nil {
-		t.Error("truncated record accepted")
-	}
-}
-
-func TestDumpPropertyRoundTrip(t *testing.T) {
-	fn := func(kind bool, ns int64, id uint32, addr [4]byte, bits uint8, nh [4]byte, path []uint32, comms []uint32) bool {
-		if len(path) > 100 {
-			path = path[:100]
-		}
-		if len(comms) > 100 {
-			comms = comms[:100]
-		}
-		e := Event{
-			Time: time.Unix(0, ns), Kind: KindAnnounce,
-			Prefix: netip.PrefixFrom(netip.AddrFrom4(addr), int(bits%33)),
-			PathID: id, NextHop: netip.AddrFrom4(nh),
-		}
-		if kind {
-			e.Kind = KindWithdraw
-		}
-		e.ASPath = append([]uint32(nil), path...)
-		for _, c := range comms {
-			e.Communities = append(e.Communities, bgp.Community(c))
-		}
-		var buf bytes.Buffer
-		if err := WriteEvents(&buf, []Event{e}); err != nil {
-			return false
-		}
-		got, err := ReadEvents(&buf)
-		if err != nil || len(got) != 1 {
-			return false
-		}
-		g := got[0]
-		if !g.Time.Equal(e.Time) {
-			return false
-		}
-		g.Time, e.Time = time.Time{}, time.Time{}
-		return reflect.DeepEqual(g, e)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// FuzzReadEvents hammers the dump parser with arbitrary bytes; as a
-// plain test it replays the seed corpus.
-func FuzzReadEvents(f *testing.F) {
-	var buf bytes.Buffer
-	WriteEvents(&buf, []Event{
-		{Time: time.Unix(1700000000, 0), Kind: KindAnnounce, Prefix: pfx("10.0.0.0/8"),
-			PathID: 1, ASPath: []uint32{65001}, NextHop: ip("1.1.1.1"),
-			Communities: []bgp.Community{bgp.NewCommunity(47065, 1)}},
-		{Time: time.Unix(1700000001, 0), Kind: KindWithdraw, Prefix: pfx("2001:db8::/32")},
-	})
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0x50, 0x52})
-	seed := buf.Bytes()
-	f.Add(seed[:len(seed)-5]) // truncated mid-record
-	f.Add([]byte{0x50})       // half a magic
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	flipped := append([]byte(nil), seed...)
-	flipped[len(flipped)/2] ^= 0xFF // one corrupted byte mid-stream
-	f.Add(flipped)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := ReadEvents(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Decoded events must re-encode and re-decode identically.
-		var out bytes.Buffer
-		if err := WriteEvents(&out, events); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		again, err := ReadEvents(&out)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if len(again) != len(events) {
-			t.Fatalf("round trip changed record count %d -> %d", len(events), len(again))
-		}
-	})
 }

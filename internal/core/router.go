@@ -640,6 +640,17 @@ func (r *Router) SetExperimentTunnelIP(name string, ip netip.Addr) {
 	}
 }
 
+// ExperimentSession returns the router side of the named experiment's
+// BGP session, or nil when none is registered.
+func (r *Router) ExperimentSession(name string) *bgp.Session {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.experiments[name]; e != nil {
+		return e.session
+	}
+	return nil
+}
+
 // ExperimentRoutes exposes the experiment-prefix table (tests and the
 // peering facade).
 func (r *Router) ExperimentRoutes() *rib.Table { return r.expRoutes }

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -9,6 +10,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"repro/internal/bgp"
 )
 
 // Segment file layout. A segment is the unit of sealing, retention, and
@@ -18,7 +21,7 @@ import (
 //
 //	header (16 bytes):
 //	  magic    uint32  0x56485331 ("VHS1")
-//	  version  uint8   1
+//	  version  uint8   2 (1 lacked communities; no longer read)
 //	  reserved uint8[3]
 //	  seq      uint64  segment sequence number
 //	records: repeated (see record layout below)
@@ -43,7 +46,7 @@ const (
 	segMagic     = 0x56485331 // "VHS1"
 	footerMagic  = 0x56485346 // "VHSF"
 	tailMagic    = 0x56485345 // "VHSE"
-	segVersion   = 1
+	segVersion   = 2
 	segHeaderLen = 16
 
 	footerFlagCompacted = 1 << 0
@@ -62,10 +65,15 @@ const (
 //	then    prefix  fam uint8 (4|6), bits uint8, 4/16 addr bytes
 //	then    nextHop fam uint8 (0|4|6), 0/4/16 addr bytes
 //	then    asPath  uint16 count, count x uint32
+//	then    comms   uint16 count, count x uint32
 //
 // The vantage bitmap and dup counter sit at fixed offsets so the store
 // can patch them in place while the record is still in the active
 // (unsealed) segment — the content-hash deduper's merge path.
+//
+// The same records, without segment header or footer, form the plain
+// stream of WriteRecords/ReadRecords (collector dumps); there the record
+// magic doubles as the sync marker.
 const (
 	recMagic      = 0x5648 // "VH"
 	recFlagsOff   = 2
@@ -76,15 +84,15 @@ const (
 
 	recFlagWithdraw = 1 << 0
 
-	// maxPeerName caps the encoded peer-name length (mirrors the
-	// telemetry event codec's string cap).
+	// maxPeerName caps the encoded peer-name length.
 	maxPeerName = 255
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Record is one stored route event: a RouteMonitoring observation,
-// possibly merged from several vantage points by the deduper.
+// Record is the platform's one route-event record: a RouteMonitoring
+// observation in the history store, possibly merged from several
+// vantage points by the deduper, or one event of a collector feed.
 type Record struct {
 	// Time of the first observation of this event.
 	Time time.Time
@@ -103,6 +111,8 @@ type Record struct {
 	NextHop netip.Addr
 	// ASPath of the announcement, flattened.
 	ASPath []uint32
+	// Communities attached to the announcement.
+	Communities []bgp.Community
 	// Withdraw marks a withdrawal.
 	Withdraw bool
 	// Vantage is the bitmap of PoPs/collectors that observed this event
@@ -131,16 +141,7 @@ func appendRecord(b []byte, r Record) []byte {
 	}
 	b = append(b, byte(len(peer)))
 	b = append(b, peer...)
-	addr := r.Prefix.Addr()
-	if addr.Is6() {
-		raw := addr.As16()
-		b = append(b, 6, byte(r.Prefix.Bits()))
-		b = append(b, raw[:]...)
-	} else {
-		raw := addr.As4()
-		b = append(b, 4, byte(r.Prefix.Bits()))
-		b = append(b, raw[:]...)
-	}
+	b = appendPrefix(b, r.Prefix)
 	switch {
 	case !r.NextHop.IsValid():
 		b = append(b, 0)
@@ -157,7 +158,24 @@ func appendRecord(b []byte, r Record) []byte {
 	for _, asn := range r.ASPath {
 		b = binary.BigEndian.AppendUint32(b, asn)
 	}
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Communities)))
+	for _, c := range r.Communities {
+		b = binary.BigEndian.AppendUint32(b, uint32(c))
+	}
 	return b
+}
+
+// appendPrefix appends a prefix as fam (4|6), bits and the address bytes.
+func appendPrefix(b []byte, p netip.Prefix) []byte {
+	addr := p.Addr()
+	if addr.Is6() {
+		raw := addr.As16()
+		b = append(b, 6, byte(p.Bits()))
+		return append(b, raw[:]...)
+	}
+	raw := addr.As4()
+	b = append(b, 4, byte(p.Bits()))
+	return append(b, raw[:]...)
 }
 
 // reader walks a byte slice with bounds checking, tracking the absolute
@@ -220,6 +238,36 @@ func (d *reader) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
+// prefix decodes an appendPrefix encoding; what names the field in
+// errors ("prefix", "index prefix").
+func (d *reader) prefix(what string) netip.Prefix {
+	famOff := d.off
+	fam := d.u8()
+	if d.err == nil && fam != 4 && fam != 6 {
+		d.off = famOff
+		d.fail("bad %s family %d", what, fam)
+		return netip.Prefix{}
+	}
+	bits := int(d.u8())
+	var addr netip.Addr
+	if fam == 4 {
+		if raw := d.take(4); raw != nil {
+			addr = netip.AddrFrom4([4]byte(raw))
+		}
+	} else if raw := d.take(16); raw != nil {
+		addr = netip.AddrFrom16([16]byte(raw))
+	}
+	if d.err != nil {
+		return netip.Prefix{}
+	}
+	if bits > addr.BitLen() {
+		d.off = famOff
+		d.fail("v%d %s bits %d", fam, what, bits)
+		return netip.Prefix{}
+	}
+	return netip.PrefixFrom(addr, bits)
+}
+
 // decodeRecord decodes one record from the front of d.
 func decodeRecord(d *reader) (Record, bool) {
 	var r Record
@@ -245,35 +293,7 @@ func decodeRecord(d *reader) (Record, bool) {
 	if b := d.take(peerLen); b != nil {
 		r.Peer = string(b)
 	}
-	famOff := d.off
-	switch fam := d.u8(); fam {
-	case 4:
-		bits := int(d.u8())
-		raw := d.take(4)
-		if d.err == nil && bits > 32 {
-			d.off = famOff
-			d.fail("v4 prefix bits %d", bits)
-			return r, false
-		}
-		if raw != nil {
-			r.Prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte(raw)), bits)
-		}
-	case 6:
-		bits := int(d.u8())
-		raw := d.take(16)
-		if d.err == nil && bits > 128 {
-			d.off = famOff
-			d.fail("v6 prefix bits %d", bits)
-			return r, false
-		}
-		if raw != nil {
-			r.Prefix = netip.PrefixFrom(netip.AddrFrom16([16]byte(raw)), bits)
-		}
-	default:
-		if d.err == nil {
-			d.off = famOff
-			d.fail("bad prefix family %d", fam)
-		}
+	if r.Prefix = d.prefix("prefix"); d.err != nil {
 		return r, false
 	}
 	nhOff := d.off
@@ -297,6 +317,10 @@ func decodeRecord(d *reader) (Record, bool) {
 	pathLen := int(d.u16())
 	for i := 0; i < pathLen && d.err == nil; i++ {
 		r.ASPath = append(r.ASPath, d.u32())
+	}
+	commLen := int(d.u16())
+	for i := 0; i < commLen && d.err == nil; i++ {
+		r.Communities = append(r.Communities, bgp.Community(d.u32()))
 	}
 	if d.err == nil && r.Dups == 0 {
 		d.off = start
@@ -375,16 +399,47 @@ func (s *segment) recordAt(off uint32) (Record, error) {
 
 // records decodes every record of the segment in append order.
 func (s *segment) records() ([]Record, error) {
-	out := make([]Record, 0, s.count)
-	d := &reader{b: s.buf, base: segHeaderLen}
-	for d.off < len(s.buf) {
+	return decodeAll(&reader{b: s.buf, base: segHeaderLen}, make([]Record, 0, s.count))
+}
+
+// decodeAll appends every record left in d to out, stopping at the
+// first bad one with the records before it.
+func decodeAll(d *reader, out []Record) ([]Record, error) {
+	for d.off < len(d.b) {
 		r, ok := decodeRecord(d)
 		if !ok {
-			return nil, d.err
+			return out, d.err
 		}
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// WriteRecords writes records to w as a plain record stream: no segment
+// header, footer or CRC, each record's magic doubling as the sync
+// marker. Collector dumps use this format.
+func WriteRecords(w io.Writer, records []Record) error {
+	bw := bufio.NewWriter(w)
+	var b []byte
+	for _, r := range records {
+		b = appendRecord(b[:0], r)
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// ReadRecords parses a WriteRecords stream until EOF. It fails closed at
+// the first corrupt or truncated record, returning the records before it
+// and an error naming the byte offset (truncation wraps
+// io.ErrUnexpectedEOF).
+func ReadRecords(r io.Reader) ([]Record, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeAll(&reader{b: data}, nil)
 }
 
 // vantageBit returns the bitmap bit for a vantage name, or 0 if the
@@ -448,16 +503,7 @@ func (s *segment) encode() []byte {
 	})
 	b = binary.BigEndian.AppendUint32(b, uint32(len(prefixes)))
 	for _, p := range prefixes {
-		addr := p.Addr()
-		if addr.Is6() {
-			raw := addr.As16()
-			b = append(b, 6, byte(p.Bits()))
-			b = append(b, raw[:]...)
-		} else {
-			raw := addr.As4()
-			b = append(b, 4, byte(p.Bits()))
-			b = append(b, raw[:]...)
-		}
+		b = appendPrefix(b, p)
 		offs := s.index[p]
 		b = binary.BigEndian.AppendUint32(b, uint32(len(offs)))
 		for _, off := range offs {
@@ -515,35 +561,7 @@ func decodeSegment(data []byte) (*segment, error) {
 		seg.buf = data[segHeaderLen:footStart]
 		np := int(fd.u32())
 		for i := 0; i < np && fd.err == nil; i++ {
-			var prefix netip.Prefix
-			famOff := fd.off
-			switch fam := fd.u8(); fam {
-			case 4:
-				bits := int(fd.u8())
-				raw := fd.take(4)
-				if fd.err == nil && bits > 32 {
-					fd.off = famOff
-					fd.fail("v4 index prefix bits %d", bits)
-					break
-				}
-				if raw != nil {
-					prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte(raw)), bits)
-				}
-			case 6:
-				bits := int(fd.u8())
-				raw := fd.take(16)
-				if fd.err == nil && bits > 128 {
-					fd.off = famOff
-					fd.fail("v6 index prefix bits %d", bits)
-					break
-				}
-				if raw != nil {
-					prefix = netip.PrefixFrom(netip.AddrFrom16([16]byte(raw)), bits)
-				}
-			default:
-				fd.off = famOff
-				fd.fail("bad index prefix family %d", fam)
-			}
+			prefix := fd.prefix("index prefix")
 			no := int(fd.u32())
 			for j := 0; j < no && fd.err == nil; j++ {
 				off := fd.u32()

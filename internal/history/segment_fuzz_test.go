@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -55,6 +56,43 @@ func FuzzSegmentReader(f *testing.F) {
 		}
 		if seg.count != len(records) {
 			t.Fatalf("count %d != records %d", seg.count, len(records))
+		}
+	})
+}
+
+// FuzzReadRecords hammers the plain record-stream reader (the collector
+// dump format) with arbitrary bytes: it must never panic, and a stream
+// it accepts must re-encode to exactly the input.
+func FuzzReadRecords(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, seedRecords()); err != nil {
+		f.Fatal(err)
+	}
+	seed := buf.Bytes()
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Add([]byte{0x56, 0x48})
+	f.Add(seed[:len(seed)-5]) // truncated mid-record
+	f.Add([]byte{0x56})       // half a magic
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	flipped := append([]byte(nil), seed...)
+	flipped[len(flipped)/2] ^= 0xFF // one corrupted byte mid-stream
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records, err := ReadRecords(bytes.NewReader(data))
+		if err != nil {
+			if !strings.Contains(err.Error(), "offset ") {
+				t.Fatalf("error without a byte offset: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteRecords(&out, records); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("re-encode differs from input:\n in  %x\n out %x", data, out.Bytes())
 		}
 	})
 }

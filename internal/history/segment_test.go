@@ -11,18 +11,22 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/bgp"
+	"repro/internal/telemetry"
 )
 
 // seedRecords covers both address families, announce and withdraw, an
-// absent next hop, merged vantage bitmaps, and path lists.
+// absent next hop, merged vantage bitmaps, and path and community lists.
 func seedRecords() []Record {
 	return []Record{
 		{
 			Time: time.Unix(0, 1_000), Peer: "transit-1000", PeerASN: 1000,
-			Prefix:  netip.MustParsePrefix("184.164.224.0/24"), PathID: 1,
-			NextHop: netip.MustParseAddr("127.65.0.1"),
-			ASPath:  []uint32{1000, 3356, 10040},
-			Vantage: 0b11, Dups: 2,
+			Prefix: netip.MustParsePrefix("184.164.224.0/24"), PathID: 1,
+			NextHop:     netip.MustParseAddr("127.65.0.1"),
+			ASPath:      []uint32{1000, 3356, 10040},
+			Communities: []bgp.Community{bgp.NewCommunity(47065, 1000), bgp.NewCommunity(65535, 65281)},
+			Vantage:     0b11, Dups: 2,
 		},
 		{
 			Time: time.Unix(0, 2_000), Peer: "exp:whitehat",
@@ -36,7 +40,7 @@ func seedRecords() []Record {
 		},
 		{
 			Time: time.Unix(0, 4_000), Peer: "peer-v6", PeerASN: 64500,
-			Prefix:  netip.MustParsePrefix("2804:269c::/32"), PathID: 7,
+			Prefix: netip.MustParsePrefix("2804:269c::/32"), PathID: 7,
 			NextHop: netip.MustParseAddr("2001:db8::1"),
 			ASPath:  []uint32{64500}, Vantage: 0b1, Dups: 1,
 		},
@@ -206,10 +210,10 @@ func TestSegmentCorruptInputs(t *testing.T) {
 		{
 			name: "path length claims more than the region holds",
 			data: mutate(func(b []byte) []byte {
-				// AS-path count sits before the first record's 3 uint32
-				// hops, which end at the second record's offset.
+				// The first record ends with its AS-path count, 3 uint32
+				// hops, the community count and 2 uint32 communities.
 				second := segHeaderLen + int(seg.index[netip.MustParsePrefix("184.164.224.0/25")][0])
-				binary.BigEndian.PutUint16(b[second-3*4-2:], 0xFFFF)
+				binary.BigEndian.PutUint16(b[second-2*4-2-3*4-2:], 0xFFFF)
 				return b[:segHeaderLen+len(seg.buf)]
 			}),
 			wantEOF: true,
@@ -266,6 +270,22 @@ func TestSegmentCorruptInputs(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, tc.wantOff)
 			}
 		})
+	}
+}
+
+// TestOpenRejectsVersion1Segment checks that a segment written before
+// records carried communities fails closed at Open instead of being
+// misread.
+func TestOpenRejectsVersion1Segment(t *testing.T) {
+	dir := t.TempDir()
+	img := buildSealed(t, seedRecords()).encode()
+	img[4] = 1 // header version byte
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000003.vhs"), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Config{Dir: dir, MaintenanceInterval: -1, Registry: telemetry.NewRegistry()})
+	if err == nil || !strings.Contains(err.Error(), "unsupported segment version 1") {
+		t.Fatalf("Open of a version-1 segment: err = %v, want unsupported segment version 1", err)
 	}
 }
 

@@ -634,9 +634,27 @@ func (a *platformActuator) Teardown(experiment string) error {
 			pops = append(pops, pop)
 		}
 		a.mu.Unlock()
+		var routerSide []*bgp.Session
 		for _, pop := range pops {
+			if sess := a.p.PoP(pop).Router.ExperimentSession(experiment); sess != nil {
+				routerSide = append(routerSide, sess)
+			}
 			_ = rt.client.StopBGP(pop)
 			_ = rt.client.CloseTunnel(pop)
+		}
+		// Forget must wait until each router-side session has read the
+		// client's stream to its end; otherwise the router can evaluate
+		// the client's last withdrawal after the unregistration and
+		// reject it as an unknown experiment.
+		drained := time.NewTimer(a.establishTimeout)
+		defer drained.Stop()
+	wait:
+		for _, sess := range routerSide {
+			select {
+			case <-sess.Done():
+			case <-drained.C:
+				break wait
+			}
 		}
 	}
 	// Purge whatever the routers still hold for this owner — including

@@ -14,7 +14,9 @@ import (
 
 	"net/netip"
 
+	"repro/internal/chaos"
 	"repro/internal/ctlplane"
+	"repro/internal/policy"
 	"repro/internal/rib"
 	"repro/internal/telemetry"
 )
@@ -23,7 +25,12 @@ import (
 // control plane with its API served over HTTP.
 func ctlplaneTestbed(t *testing.T) (*Platform, *ControlPlane, *httptest.Server) {
 	t.Helper()
-	p := NewPlatform(PlatformConfig{ASN: 47065, Logf: t.Logf})
+	return ctlplaneTestbedOn(t, NewPlatform(PlatformConfig{ASN: 47065, Logf: t.Logf}))
+}
+
+// ctlplaneTestbedOn builds the ctlplaneTestbed PoPs and control plane on p.
+func ctlplaneTestbedOn(t *testing.T, p *Platform) (*Platform, *ControlPlane, *httptest.Server) {
+	t.Helper()
 	popA, err := p.AddPoP(PoPConfig{
 		Name: "amsix", RouterID: addr("198.51.100.1"),
 		LocalPool: pfx("127.65.0.0/16"), ExpLAN: pfx("100.65.0.0/24"),
@@ -429,5 +436,48 @@ func TestControlPlaneCoexistsWithManualExperiments(t *testing.T) {
 	}
 	if !found["manual"] || !found["managed"] {
 		t.Fatalf("promote disturbed registrations: %v", names)
+	}
+}
+
+// TestControlPlaneDeleteLeavesNoRejects runs create → announce → DELETE
+// lifecycles back to back over the HTTP API. Teardown must let each
+// PoP's router read the client's final withdrawals before the
+// experiment is unregistered, so the policy engine never refuses them
+// as coming from an unknown experiment.
+func TestControlPlaneDeleteLeavesNoRejects(t *testing.T) {
+	// The fault injector delays the routers' reads of each experiment's
+	// stream during its DELETE, the lag a loaded host produces by chance.
+	inj := chaos.New(chaos.Config{Logf: t.Logf})
+	p, _, srv := ctlplaneTestbedOn(t, NewPlatform(PlatformConfig{ASN: 47065, Logf: t.Logf, Chaos: inj}))
+	names := make(map[string]bool)
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("cycle%d", i)
+		names[name] = true
+		spec := map[string]any{
+			"name": name, "owner": "alice", "asn": expASN,
+			"plan":     "teardown ordering study",
+			"prefixes": []string{"184.164.224.0/23"},
+			"announcements": []map[string]any{
+				{"prefix": "184.164.224.0/24", "pops": []string{"amsix", "seattle"}},
+			},
+		}
+		code, body := httpJSON(t, srv, "POST", "/v1/experiments", spec)
+		if code != 201 {
+			t.Fatalf("create %s -> %d %s", name, code, body)
+		}
+		waitExperimentPhase(t, srv, name, ctlplane.PhaseConverged, 0)
+		inj.Inject(chaos.Fault{Kind: chaos.Delay, Class: "experiment", Name: name, Duration: 200 * time.Millisecond})
+		if code, _ := httpJSON(t, srv, "DELETE", "/v1/experiments/"+name, nil); code != 202 {
+			t.Fatalf("delete %s -> %d, want 202", name, code)
+		}
+		waitFor(t, name+" removed", func() bool {
+			code, _ := httpJSON(t, srv, "GET", "/v1/experiments/"+name, nil)
+			return code == 404
+		})
+	}
+	for _, e := range p.Engine.Audit() {
+		if names[e.Experiment] && e.Action == policy.ActionReject {
+			t.Errorf("policy rejected %s at %s for %s: %v", e.Prefix, e.PoP, e.Experiment, e.Reasons)
+		}
 	}
 }

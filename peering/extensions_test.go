@@ -1,15 +1,20 @@
 package peering
 
 import (
+	"bytes"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/collector"
+	"repro/internal/bgp"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/ethernet"
+	"repro/internal/history"
 	"repro/internal/inet"
+	"repro/internal/netsim"
 	"repro/internal/policy"
 )
 
@@ -238,7 +243,7 @@ func TestPoPBandwidthShaping(t *testing.T) {
 }
 
 func TestAttachCollector(t *testing.T) {
-	_, pop, c := testbed(t)
+	p, pop, c := testbed(t)
 	col, err := pop.AttachCollector("route-views.amsix", 6447)
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +279,94 @@ func TestAttachCollector(t *testing.T) {
 		t.Fatal("no events recorded")
 	}
 	hist := col.History(probe)
-	if len(hist) == 0 || hist[0].Kind != collector.KindAnnounce {
+	if len(hist) == 0 || hist[0].Withdraw {
 		t.Fatalf("history: %+v", hist)
+	}
+
+	// A scripted neighbor adds an IPv6 route and communities, so the
+	// dump below carries both next-hop families.
+	announceScripted(t, p, pop)
+	v6 := pfx("2804:1400::/24")
+	waitFor(t, "collector sees the IPv6 route", func() bool { return len(col.History(v6)) > 0 })
+
+	// The feed dumps and re-reads unchanged: communities, ADD-PATH IDs
+	// and v4/v6 next hops.
+	events := col.Events(time.Time{}, time.Time{})
+	var dump bytes.Buffer
+	if err := history.WriteRecords(&dump, events); err != nil {
+		t.Fatal(err)
+	}
+	back, err := history.ReadRecords(&dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(events) {
+		t.Fatalf("dump re-read %d of %d records", len(back), len(events))
+	}
+	var v4NH, v6NH, comms bool
+	ids := make(map[uint32]bool)
+	for i := range events {
+		if !back[i].Time.Equal(events[i].Time) {
+			t.Fatalf("record %d time %v, want %v", i, back[i].Time, events[i].Time)
+		}
+		back[i].Time = events[i].Time
+		if !reflect.DeepEqual(back[i], events[i]) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, back[i], events[i])
+		}
+		v4NH = v4NH || events[i].NextHop.Is4()
+		v6NH = v6NH || events[i].NextHop.Is6()
+		comms = comms || len(events[i].Communities) > 0
+		ids[events[i].PathID] = true
+	}
+	if !v4NH || !v6NH || !comms || len(ids) < 2 {
+		t.Fatalf("dump lacks coverage: v4 next hop %v, v6 next hop %v, communities %v, path IDs %v",
+			v4NH, v6NH, comms, ids)
+	}
+}
+
+// announceScripted attaches a neighbor the test drives by hand and has
+// it announce one IPv4 and one IPv6 route, both with a community.
+func announceScripted(t *testing.T, p *Platform, pop *PoP) {
+	t.Helper()
+	pop.Router.AddInterface("nbr-scripted", "neighbor", pfx("198.20.0.254/24"), netsim.NewSegment("scripted-link"))
+	cr, cn := newConnPair()
+	if _, err := pop.Router.AddNeighbor(core.NeighborConfig{
+		Name: "scripted", ID: p.NextNeighborID(), ASN: 64500, Addr: addr("198.20.0.1"),
+		Interface: "nbr-scripted", Conn: cr,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	est := make(chan struct{})
+	sess := bgp.NewSession(cn, bgp.Config{
+		LocalASN: 64500, RemoteASN: 47065, LocalID: addr("198.20.0.1"),
+		Families:      []bgp.AFISAFI{bgp.IPv4Unicast, bgp.IPv6Unicast},
+		OnEstablished: func() { close(est) },
+	})
+	go sess.Run()
+	t.Cleanup(func() { sess.Close() })
+	select {
+	case <-est:
+	case <-time.After(5 * time.Second):
+		t.Fatal("scripted neighbor did not establish")
+	}
+	attrs := func() *bgp.PathAttrs {
+		return &bgp.PathAttrs{
+			Origin: bgp.OriginIGP, HasOrigin: true,
+			ASPath:      []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{64500}}},
+			Communities: []bgp.Community{bgp.NewCommunity(64500, 7)},
+		}
+	}
+	v4 := attrs()
+	v4.NextHop = addr("198.20.0.1")
+	v6 := attrs()
+	v6.MPNextHop = addr("2001:db8:64::1")
+	for _, u := range []*bgp.Update{
+		{Attrs: v4, NLRI: []bgp.NLRI{{Prefix: pfx("45.64.0.0/16")}}},
+		{Attrs: v6, MPReach: []bgp.NLRI{{Prefix: pfx("2804:1400::/24")}}},
+	} {
+		if err := sess.Send(u); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
