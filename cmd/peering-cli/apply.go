@@ -1,15 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
-	"strings"
-	"time"
 
 	"repro/internal/ctlplane"
 )
@@ -127,57 +125,10 @@ func loadSpecFile(path string) (ctlplane.Spec, error) {
 	return spec, nil
 }
 
-// apiClient speaks the /v1 experiment API with bounded requests.
-type apiClient struct {
-	base string
-	http *http.Client
-}
-
-var errNotFound = fmt.Errorf("not found")
-
-func newAPIClient(addr string) *apiClient {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return &apiClient{
-		base: strings.TrimRight(base, "/"),
-		http: &http.Client{Timeout: 10 * time.Second},
-	}
-}
-
-func (c *apiClient) do(method, path string, body any) (int, []byte, error) {
-	var rd *bytes.Reader
-	if body == nil {
-		rd = bytes.NewReader(nil)
-	} else {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		rd = bytes.NewReader(data)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, buf.Bytes(), nil
-}
-
 // getSpec fetches the server's current spec and revision for an
 // experiment, or errNotFound.
 func (c *apiClient) getSpec(name string) (*ctlplane.Spec, int64, error) {
-	code, body, err := c.do("GET", "/v1/experiments/"+name, nil)
+	code, body, err := c.do("GET", "/v1/experiments/"+name, nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -200,7 +151,7 @@ func (c *apiClient) getSpec(name string) (*ctlplane.Spec, int64, error) {
 // the resulting revision.
 func (c *apiClient) apply(spec ctlplane.Spec, dryRun bool) (string, int64, error) {
 	if dryRun {
-		code, body, err := c.do("POST", "/v1/experiments?dry_run=1", spec)
+		code, body, err := c.do("POST", "/v1/experiments", url.Values{"dry_run": {"1"}}, spec)
 		if err != nil {
 			return "", 0, err
 		}
@@ -214,7 +165,7 @@ func (c *apiClient) apply(spec ctlplane.Spec, dryRun bool) (string, int64, error
 		return "", 0, err
 	}
 	if err == errNotFound {
-		code, body, err := c.do("POST", "/v1/experiments", spec)
+		code, body, err := c.do("POST", "/v1/experiments", nil, spec)
 		if err != nil {
 			return "", 0, err
 		}
@@ -228,7 +179,7 @@ func (c *apiClient) apply(spec ctlplane.Spec, dryRun bool) (string, int64, error
 	}
 	// Compare-and-swap at the revision just read: losing a race to a
 	// concurrent writer is a visible 409, not a silent overwrite.
-	code, body, err := c.do("PATCH", "/v1/experiments/"+spec.Name,
+	code, body, err := c.do("PATCH", "/v1/experiments/"+spec.Name, nil,
 		map[string]any{"revision": rev, "spec": spec})
 	if err != nil {
 		return "", 0, err

@@ -3,20 +3,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"net/url"
 	"os"
-	"strings"
-	"time"
 )
 
-// teHTTPClient bounds the remote TE verbs like the metrics and history
-// scrapes: a wedged peeringd fails the query instead of hanging the CLI.
-var teHTTPClient = &http.Client{Timeout: 10 * time.Second}
-
 // runCatchmentCommand implements `peering-cli catchment [flags]`,
-// fetching the current catchment map from the /catchment endpoint of a
+// fetching the current catchment map from the /v1/catchment view of a
 // running `peeringd -te -metrics` instance.
 func runCatchmentCommand(args []string) error {
 	usage := `usage: peering-cli catchment [flags]
@@ -39,11 +31,11 @@ flags:
 	if *prefix != "" {
 		q.Set("prefix", *prefix)
 	}
-	return teGet(*addr, "/catchment", q)
+	return newAPIClient(*addr).printJSON("/v1/catchment", q)
 }
 
 // runTECommand implements `peering-cli te status [flags]`, fetching the
-// closed-loop controller's progress from /te/status.
+// closed-loop controller's progress from /v1/te.
 func runTECommand(args []string) error {
 	usage := `usage: peering-cli te status [flags]
 
@@ -62,31 +54,5 @@ flags:
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	return teGet(*addr, "/te/status", nil)
-}
-
-// teGet fetches one JSON endpoint and prints the body verbatim.
-func teGet(addr, path string, q url.Values) error {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	u := strings.TrimRight(base, "/") + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	resp, err := teHTTPClient.Get(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peering-cli: %s returned %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
-	}
-	_, err = fmt.Print(string(body))
-	return err
+	return newAPIClient(*addr).printJSON("/v1/te", nil)
 }

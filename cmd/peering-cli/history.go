@@ -1,26 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/netip"
 	"net/url"
 	"os"
 	"strings"
-	"time"
 
-	"repro/internal/history"
+	"repro/peering"
 )
 
-// historyHTTPClient is the bounded client for the remote history verbs:
-// like the metrics scrape, a wedged peeringd must fail the query, not
-// hang the CLI.
-var historyHTTPClient = &http.Client{Timeout: 10 * time.Second}
-
 // runHistoryCommand implements `peering-cli history <verb> [flags]`,
-// querying the /history/* endpoints of a running `peeringd -history
+// querying the /v1/history/* views of a running `peeringd -history
 // -metrics` instance.
 func runHistoryCommand(args []string) error {
 	usage := `usage: peering-cli history <verb> [flags]
@@ -77,144 +69,31 @@ flags:
 		return fmt.Errorf("unknown history verb %q\n%s", verb, usage)
 	}
 
-	base := *addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	u := strings.TrimRight(base, "/") + "/history/" + verb
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	resp, err := historyHTTPClient.Get(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peering-cli: %s returned %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
-	}
-	_, err = fmt.Print(string(body))
-	return err
+	return newAPIClient(*addr).printJSON("/v1/history/"+verb, q)
 }
 
-// executeHistory implements the REPL's history verb against the local
-// platform's store.
-//
-//	history stats
-//	history state <prefix> [<rfc3339>]
-//	history between <prefix> [<from> [<to>]]
-//	history diff <popA> <popB> [<rfc3339>]
-func executeHistory(store *history.Store, f []string) string {
-	if store == nil {
-		return "history store not running"
+// queryView answers one of the platform's /v1 views in-process, the
+// REPL's counterpart of the remote verbs: args are key=value query
+// parameters, and the answer is the JSON a daemon would serve.
+func queryView(p *peering.Platform, path string, args []string) string {
+	q := url.Values{}
+	for _, arg := range args {
+		key, val, _ := strings.Cut(arg, "=")
+		q.Set(key, val)
 	}
-	usage := "usage: history stats | state <prefix> [at] | between <prefix> [from [to]] | diff <popA> <popB> [at]"
-	if len(f) < 2 {
-		return usage
+	for _, v := range p.Views() {
+		if v.Path != path {
+			continue
+		}
+		out, err := v.Get(q)
+		if err != nil {
+			return err.Error()
+		}
+		data, err := json.MarshalIndent(out, "", "  ")
+		if err != nil {
+			return err.Error()
+		}
+		return string(data)
 	}
-	parseAt := func(s string, fallback time.Time) (time.Time, error) {
-		if s == "" {
-			return fallback, nil
-		}
-		return time.Parse(time.RFC3339Nano, s)
-	}
-	arg := func(i int) string {
-		if i < len(f) {
-			return f[i]
-		}
-		return ""
-	}
-	switch f[1] {
-	case "stats":
-		st := store.Stats()
-		return fmt.Sprintf(
-			"observed=%d stored=%d deduped=%d dropped=%d skipped=%d\nsegments=%d sealed-bytes=%d retired=%d compacted=%d\nvantages: %s",
-			st.Observed, st.Stored, st.Deduped, st.Dropped, st.Skipped,
-			st.Segments, st.SealedBytes, st.RetiredSegments, st.CompactedEvents,
-			strings.Join(store.Vantages(), ", "))
-	case "state":
-		if len(f) < 3 {
-			return usage
-		}
-		prefix, err := netip.ParsePrefix(f[2])
-		if err != nil {
-			return err.Error()
-		}
-		at, err := parseAt(arg(3), time.Now())
-		if err != nil {
-			return err.Error()
-		}
-		states, err := store.StateAt(prefix, at)
-		if err != nil {
-			return err.Error()
-		}
-		if len(states) == 0 {
-			return "no routes alive at " + at.Format(time.RFC3339)
-		}
-		var b strings.Builder
-		for _, rs := range states {
-			fmt.Fprintf(&b, "%s via %s path %v since %s at [%s]\n",
-				rs.Prefix, rs.Peer, rs.ASPath, rs.Since.Format(time.RFC3339), strings.Join(rs.Vantages, " "))
-		}
-		return strings.TrimRight(b.String(), "\n")
-	case "between":
-		if len(f) < 3 {
-			return usage
-		}
-		prefix, err := netip.ParsePrefix(f[2])
-		if err != nil {
-			return err.Error()
-		}
-		from, err := parseAt(arg(3), time.Time{})
-		if err != nil {
-			return err.Error()
-		}
-		to, err := parseAt(arg(4), time.Now())
-		if err != nil {
-			return err.Error()
-		}
-		events, err := store.Between(prefix, from, to)
-		if err != nil {
-			return err.Error()
-		}
-		if len(events) == 0 {
-			return "no events in range"
-		}
-		var b strings.Builder
-		for _, ev := range events {
-			kind := "announce"
-			if ev.Withdraw {
-				kind = "withdraw"
-			}
-			fmt.Fprintf(&b, "%s %-8s %s via %s path %v dups=%d at [%s]\n",
-				ev.Time.Format(time.RFC3339Nano), kind, ev.Prefix, ev.Peer,
-				ev.ASPath, ev.Dups, strings.Join(ev.VantageNames, " "))
-		}
-		return strings.TrimRight(b.String(), "\n")
-	case "diff":
-		if len(f) < 4 {
-			return usage
-		}
-		at, err := parseAt(arg(4), time.Now())
-		if err != nil {
-			return err.Error()
-		}
-		diffs, err := store.DiffPoPs(f[2], f[3], at)
-		if err != nil {
-			return err.Error()
-		}
-		if len(diffs) == 0 {
-			return "no divergence: both PoPs hold the same routes"
-		}
-		var b strings.Builder
-		for _, d := range diffs {
-			fmt.Fprintf(&b, "%s via %s origin AS%d only at %s\n", d.Prefix, d.Peer, d.Origin, d.OnlyAt)
-		}
-		return strings.TrimRight(b.String(), "\n")
-	}
-	return usage
+	return "no view " + path
 }

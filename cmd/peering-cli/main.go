@@ -15,20 +15,17 @@
 //	metrics [prefix]
 //	help | quit
 //
-// Invoked as `peering-cli metrics [address]` it instead fetches and
-// renders the plain-text exposition served by `peeringd -metrics`
-// (default address localhost:9179) and exits. Invoked as `peering-cli
-// history <verb> [flags]` it queries the /history/* endpoints of a
-// `peeringd -history -metrics` instance (see runHistoryCommand).
-// Invoked as `peering-cli catchment [flags]` or `peering-cli te status
-// [flags]` it queries the /catchment and /te/status endpoints of a
-// `peeringd -te -metrics` instance (see runCatchmentCommand and
-// runTECommand). Invoked as `peering-cli watch [flags]` it tails the
-// control plane's /v1/watch SSE event stream until interrupted (see
-// runWatchCommand). Invoked as `peering-cli apply [flags] <spec.json>...`
-// or `peering-cli diff [flags] <spec.json>...` it pushes (create or
-// CAS-update) or compares declarative experiment specs against the
-// /v1/experiments API (see runApplyCommand and runDiffCommand).
+// The other invocations talk to the HTTP API of a running `peeringd
+// -metrics` instance (default address localhost:9179) through one
+// client (apiClient) and exit:
+//
+//	peering-cli metrics [address]            render the /metrics exposition
+//	peering-cli history <verb> [flags]       /v1/history/* (peeringd -history)
+//	peering-cli catchment [flags]            /v1/catchment (peeringd -te)
+//	peering-cli te status [flags]            /v1/te (peeringd -te)
+//	peering-cli watch [flags]                tail the /v1/watch SSE stream
+//	peering-cli apply [flags] <spec.json>... create or CAS-update specs
+//	peering-cli diff [flags] <spec.json>...  compare specs with /v1/experiments
 package main
 
 import (
@@ -36,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"net/netip"
 	"os"
 	"strconv"
@@ -52,52 +48,31 @@ import (
 
 const popName = "amsix"
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "metrics" {
+// remoteVerbs are the invocations that talk to a running peeringd.
+var remoteVerbs = map[string]func(args []string) error{
+	"metrics": func(args []string) error {
 		addr := "localhost:9179"
-		if len(os.Args) > 2 {
-			addr = os.Args[2]
+		if len(args) > 0 {
+			addr = args[0]
 		}
-		if err := fetchMetrics(os.Stdout, addr); err != nil {
-			log.Fatal(err)
+		return fetchMetrics(os.Stdout, addr)
+	},
+	"history":   runHistoryCommand,
+	"catchment": runCatchmentCommand,
+	"te":        runTECommand,
+	"watch":     runWatchCommand,
+	"apply":     runApplyCommand,
+	"diff":      runDiffCommand,
+}
+
+func main() {
+	if len(os.Args) > 1 {
+		if run, ok := remoteVerbs[os.Args[1]]; ok {
+			if err := run(os.Args[2:]); err != nil {
+				log.Fatal(err)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "history" {
-		if err := runHistoryCommand(os.Args[2:]); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "catchment" {
-		if err := runCatchmentCommand(os.Args[2:]); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "te" {
-		if err := runTECommand(os.Args[2:]); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "watch" {
-		if err := runWatchCommand(os.Args[2:]); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "apply" {
-		if err := runApplyCommand(os.Args[2:]); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "diff" {
-		if err := runDiffCommand(os.Args[2:]); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 	cfg := inet.DefaultGenConfig()
 	cfg.Tier2 = 12
@@ -189,9 +164,9 @@ func execute(c *peering.Client, pop *peering.PoP, platform *peering.Platform, li
 			"neighbors                       list PoP interconnections",
 			"health                          per-PoP watchdog state and pressure",
 			"history stats                   history store accounting",
-			"history state <prefix> [at]     routes alive at an instant (RFC 3339)",
-			"history between <prefix> [from [to]]  a prefix's event timeline",
-			"history diff <popA> <popB> [at] routes held at exactly one PoP",
+			"history state prefix=P [at=T]   routes alive at an instant (RFC 3339)",
+			"history between prefix=P [from=T] [to=T]  a prefix's event timeline",
+			"history diff a=POP b=POP [at=T] routes held at exactly one PoP",
 			"metrics [prefix]                dump platform metrics (optionally filtered)",
 			"quit",
 		}, "\n")
@@ -332,7 +307,10 @@ func execute(c *peering.Client, pop *peering.PoP, platform *peering.Platform, li
 		// The store ingests asynchronously; settle it so the query sees
 		// everything the session just did.
 		platform.WaitMonitorDrained(2 * time.Second)
-		return executeHistory(platform.History(), f)
+		if len(f) < 2 {
+			return "usage: history stats|state|between|diff [key=value ...]"
+		}
+		return queryView(platform, "history/"+f[1], f[2:])
 	case "metrics":
 		prefix := ""
 		if len(f) > 1 {
@@ -344,29 +322,11 @@ func execute(c *peering.Client, pop *peering.PoP, platform *peering.Platform, li
 }
 
 // fetchMetrics pulls the exposition from a running peeringd and renders
-// it to w.
+// it to w. addr may name the endpoint itself (".../metrics").
 func fetchMetrics(w io.Writer, addr string) error {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	if !strings.HasSuffix(url, "/metrics") {
-		url = strings.TrimRight(url, "/") + "/metrics"
-	}
-	// A bounded client: a wedged or unreachable peeringd must fail the
-	// scrape, not hang the CLI (http.DefaultClient has no timeout).
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url)
+	body, err := newAPIClient(strings.TrimSuffix(addr, "/metrics")).get("/metrics", nil)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peering-cli: %s returned %s", url, resp.Status)
 	}
 	_, err = fmt.Fprint(w, renderMetrics(string(body), "")+"\n")
 	return err

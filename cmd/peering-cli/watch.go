@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"net/url"
 	"os"
 	"strings"
@@ -16,9 +15,9 @@ import (
 // runWatchCommand implements `peering-cli watch [flags]`: it subscribes
 // to the /v1/watch SSE stream of a running `peeringd -metrics` instance
 // and renders each event as one line until interrupted or the server
-// closes the stream. Unlike the query verbs the connection is
-// deliberately unbounded — it is a live tail, not a scrape — so the
-// client carries no timeout.
+// closes the stream. Unlike the query verbs the stream has no overall
+// deadline — it is a live tail, not a scrape — but a daemon that never
+// answers the request still fails it (see newAPIClient).
 func runWatchCommand(args []string) error {
 	usage := `usage: peering-cli watch [flags]
 
@@ -38,23 +37,16 @@ flags:
 		return err
 	}
 
-	u := *addr
-	if !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	u = strings.TrimRight(u, "/") + "/v1/watch"
+	var q url.Values
 	if *types != "" {
-		u += "?" + url.Values{"types": {*types}}.Encode()
+		q = url.Values{"types": {*types}}
 	}
-	resp, err := http.Get(u)
+	resp, err := newAPIClient(*addr).stream("/v1/watch", q)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peering-cli: %s returned %s", u, resp.Status)
-	}
-	fmt.Fprintf(os.Stderr, "watching %s (ctrl-c to stop)\n", u)
+	fmt.Fprintf(os.Stderr, "watching %s (ctrl-c to stop)\n", resp.Request.URL)
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)

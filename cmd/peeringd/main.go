@@ -3,16 +3,16 @@
 // interconnections, a backbone mesh, and the management workflow. It
 // prints the §4.2-style footprint summary and, with -watch, periodic
 // status lines. With -metrics it serves the platform's plain-text
-// metric exposition over HTTP for peering-cli or any scraper, plus the
+// metric exposition at /metrics for peering-cli or any scraper, plus the
 // declarative control plane under /v1 (experiment CRUD, deploy verbs,
-// fleet/RIB/health queries, and the /v1/watch SSE event stream) and a
-// JSON index of every mounted endpoint at /. SIGINT/SIGTERM drain the
-// API server — in-flight requests and watch streams — before the
-// platform shuts down. The
-// convergence-safety layer is opt-in: -damping enables RFC 2439
-// route-flap damping, -mrai paces neighbor UPDATE batches, and -guard
-// runs the overload watchdog whose per-PoP health states appear in the
-// -watch output.
+// the /v1/watch SSE event stream, and the read-only views: fleet, RIB
+// and health, catchment and TE status with -te, history queries with
+// -history) and a JSON index of every mounted endpoint at /.
+// SIGINT/SIGTERM drain the API server — in-flight requests and watch
+// streams — before the platform shuts down. The convergence-safety
+// layer is opt-in: -damping enables RFC 2439 route-flap damping, -mrai
+// paces neighbor UPDATE batches, and -guard runs the overload watchdog
+// whose per-PoP health states appear in the -watch output.
 package main
 
 import (
@@ -56,10 +56,10 @@ func main() {
 	dampingHalfLife := flag.Duration("damping", 0, "enable RFC 2439 route-flap damping with this half-life (e.g. 15s; 0 = off)")
 	mrai := flag.Duration("mrai", 0, "pace neighbor UPDATE batches at this minimum route advertisement interval (0 = off)")
 	guardOn := flag.Bool("guard", false, "run the overload watchdog: healthy/degraded/shedding states per PoP with load shedding")
-	historyDir := flag.String("history", "", "record every route event into a durable segment log under this directory, enabling time-travel queries (/history/* with -metrics, peering-cli history)")
+	historyDir := flag.String("history", "", "record every route event into a durable segment log under this directory, enabling time-travel queries (/v1/history/* with -metrics, peering-cli history)")
 	historyRetention := flag.Duration("history-retention", 0, "delete sealed history segments older than this window (0 = keep everything)")
 	stateDir := flag.String("state-dir", "", "persist the control plane's desired state (WAL + snapshot) under this directory; on startup the store is recovered from it, so experiment specs and deploy revisions survive a crash (with -metrics)")
-	tePrefix := flag.String("te", "", "run closed-loop traffic engineering on this anycast prefix (e.g. 184.164.224.0/24): announce it at every PoP, resolve the catchment of -clients weighted clients, and steer per-PoP load to equal targets; serves /catchment and /te/status with -metrics (peering-cli catchment|te)")
+	tePrefix := flag.String("te", "", "run closed-loop traffic engineering on this anycast prefix (e.g. 184.164.224.0/24): announce it at every PoP, resolve the catchment of -clients weighted clients, and steer per-PoP load to equal targets; serves /v1/catchment and /v1/te with -metrics (peering-cli catchment|te)")
 	teClients := flag.Int("clients", 100000, "weighted clients placed across the synthetic Internet for -te catchment resolution")
 	flag.Parse()
 
@@ -212,7 +212,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("te setup: %v", err)
 		}
-		fmt.Printf("te: steering %s across %d PoPs (%d weighted clients); inspect /te/status\n",
+		fmt.Printf("te: steering %s across %d PoPs (%d weighted clients); inspect /v1/te\n",
 			teAnycast, len(popList), *teClients)
 		go func() {
 			res, err := te.Run()
@@ -253,14 +253,6 @@ func main() {
 		}
 		cp.API.Register(mux)
 		endpoints := append([]string{"/metrics"}, cp.API.Endpoints()...)
-		if hist != nil {
-			registerHistoryHandlers(mux, hist)
-			endpoints = append(endpoints, "/history/state", "/history/between", "/history/diff", "/history/stats")
-		}
-		if te != nil {
-			registerTEHandlers(mux, platform, te)
-			endpoints = append(endpoints, "/catchment", "/te/status")
-		}
 		// The root serves a JSON index of everything mounted; any other
 		// unregistered path 404s (the "GET /{$}" pattern matches "/"
 		// exactly instead of swallowing the whole tree).
@@ -344,104 +336,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-// registerHistoryHandlers mounts the history store's query layer on the
-// metrics mux as JSON endpoints, the transport peering-cli's history
-// verb speaks:
-//
-//	/history/state?prefix=P[&at=RFC3339]
-//	/history/between?prefix=P[&from=RFC3339][&to=RFC3339]
-//	/history/diff?a=POP&b=POP[&at=RFC3339]
-//	/history/stats
-func registerHistoryHandlers(mux *http.ServeMux, hist *history.Store) {
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	parseTime := func(w http.ResponseWriter, r *http.Request, key string, fallback time.Time) (time.Time, bool) {
-		s := r.FormValue(key)
-		if s == "" {
-			return fallback, true
-		}
-		at, err := time.Parse(time.RFC3339Nano, s)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad %s: %v (want RFC 3339)", key, err), http.StatusBadRequest)
-			return time.Time{}, false
-		}
-		return at, true
-	}
-	parsePrefix := func(w http.ResponseWriter, r *http.Request) (netip.Prefix, bool) {
-		prefix, err := netip.ParsePrefix(r.FormValue("prefix"))
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad prefix: %v", err), http.StatusBadRequest)
-			return netip.Prefix{}, false
-		}
-		return prefix, true
-	}
-	mux.HandleFunc("/history/state", func(w http.ResponseWriter, r *http.Request) {
-		prefix, ok := parsePrefix(w, r)
-		if !ok {
-			return
-		}
-		at, ok := parseTime(w, r, "at", time.Now())
-		if !ok {
-			return
-		}
-		state, err := hist.StateAt(prefix, at)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, state)
-	})
-	mux.HandleFunc("/history/between", func(w http.ResponseWriter, r *http.Request) {
-		prefix, ok := parsePrefix(w, r)
-		if !ok {
-			return
-		}
-		from, ok := parseTime(w, r, "from", time.Time{})
-		if !ok {
-			return
-		}
-		to, ok := parseTime(w, r, "to", time.Now())
-		if !ok {
-			return
-		}
-		events, err := hist.Between(prefix, from, to)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, events)
-	})
-	mux.HandleFunc("/history/diff", func(w http.ResponseWriter, r *http.Request) {
-		a, b := r.FormValue("a"), r.FormValue("b")
-		if a == "" || b == "" {
-			http.Error(w, "want a=POP&b=POP", http.StatusBadRequest)
-			return
-		}
-		at, ok := parseTime(w, r, "at", time.Now())
-		if !ok {
-			return
-		}
-		diff, err := hist.DiffPoPs(a, b, at)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, diff)
-	})
-	mux.HandleFunc("/history/stats", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, struct {
-			history.Stats
-			Vantages []string `json:"vantages"`
-		}{hist.Stats(), hist.Vantages()})
-	})
 }
 
 // parseChaosSpec builds a fault injector from the -chaos flag, a

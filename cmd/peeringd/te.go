@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"net/netip"
 	"time"
 
@@ -38,41 +35,4 @@ func setupTE(platform *peering.Platform, pops []*peering.PoP, prefix netip.Prefi
 		}
 	}
 	return platform.NewTEController(client, nil)
-}
-
-// registerTEHandlers mounts the traffic-engineering inspection surface
-// on the metrics mux, the transport peering-cli's catchment and te
-// verbs speak:
-//
-//	/catchment            current catchment map for the TE population
-//	/te/status            controller progress: rounds, shares, actions
-func registerTEHandlers(mux *http.ServeMux, platform *peering.Platform, te *peering.TEController) {
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	mux.HandleFunc("/catchment", func(w http.ResponseWriter, r *http.Request) {
-		prefix := platform.TE().Prefix
-		if s := r.FormValue("prefix"); s != "" {
-			p, err := netip.ParsePrefix(s)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad prefix: %v", err), http.StatusBadRequest)
-				return
-			}
-			prefix = p
-		}
-		m, err := platform.ResolveCatchments(prefix, te.Populations())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, m)
-	})
-	mux.HandleFunc("/te/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, te.Status())
-	})
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/netip"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,29 +23,30 @@ type Deploy struct {
 	Deployer *config.Deployer
 }
 
-// Queries are the read-only platform views unified under /v1/. Any nil
-// hook 404s its endpoint.
-type Queries struct {
-	// Fleet describes PoPs and their interconnections.
-	Fleet func() any
-	// RIB returns routes at a PoP: table is "experiments" (default) or
-	// "adj-in"; prefix optionally filters.
-	RIB func(pop, table string, prefix netip.Prefix) (any, error)
-	// Health returns the guard ladder report.
-	Health func() any
-	// Catchment returns the current anycast catchment map (TE runs).
-	Catchment func() (any, error)
+// ErrBadQuery marks a View error caused by the request's parameters;
+// the API answers it with 400 instead of 500.
+var ErrBadQuery = errors.New("bad query")
+
+// View is one read-only platform view, mounted at GET /v1/<Path>. Get
+// receives the request's query parameters; an error wrapping
+// ErrBadQuery answers 400, any other error 500.
+type View struct {
+	// Path is relative to /v1/, e.g. "rib" or "history/state".
+	Path string
+	// Usage follows the path in the endpoint index: the query
+	// parameters, if any, then a description.
+	Usage string
+	Get   func(q url.Values) (any, error)
 }
 
 // Server is the control plane's HTTP/JSON surface. Mount on a mux with
 // Register; every route lives under /v1/.
 type Server struct {
-	store   *Store
-	rec     *Reconciler
-	hub     *Hub
-	deploy  *Deploy
-	queries Queries
-	logf    func(format string, args ...any)
+	store  *Store
+	rec    *Reconciler
+	hub    *Hub
+	deploy *Deploy
+	views  []View
 
 	mRequests *counterVecish
 }
@@ -56,8 +57,7 @@ type ServerConfig struct {
 	Reconciler *Reconciler
 	Hub        *Hub
 	Deploy     *Deploy
-	Queries    Queries
-	Logf       func(format string, args ...any)
+	Views      []View
 }
 
 // NewServer builds the API server.
@@ -67,8 +67,7 @@ func NewServer(cfg ServerConfig) *Server {
 		rec:       cfg.Reconciler,
 		hub:       cfg.Hub,
 		deploy:    cfg.Deploy,
-		queries:   cfg.Queries,
-		logf:      cfg.Logf,
+		views:     cfg.Views,
 		mRequests: &counterVecish{m: make(map[string]metric)},
 	}
 }
@@ -84,7 +83,9 @@ func (s *Server) Endpoints() []string {
 		"PATCH /v1/experiments/{name}            CAS update {revision, spec}",
 		"DELETE /v1/experiments/{name}[?revision=N]  tombstone + teardown",
 		"GET  /v1/status                         reconciler summary",
-		"GET  /v1/watch?types=a,b                SSE event stream",
+	}
+	if s.hub != nil {
+		eps = append(eps, "GET  /v1/watch?types=a,b                SSE event stream")
 	}
 	if s.deploy != nil {
 		eps = append(eps,
@@ -94,17 +95,8 @@ func (s *Server) Endpoints() []string {
 			"POST /v1/deploy/rollback                {revision}",
 		)
 	}
-	if s.queries.Fleet != nil {
-		eps = append(eps, "GET  /v1/fleet                          PoPs and interconnections")
-	}
-	if s.queries.RIB != nil {
-		eps = append(eps, "GET  /v1/rib?pop=P[&table=T][&prefix=X] routes at a PoP")
-	}
-	if s.queries.Health != nil {
-		eps = append(eps, "GET  /v1/health                         guard ladder report")
-	}
-	if s.queries.Catchment != nil {
-		eps = append(eps, "GET  /v1/catchment                      anycast catchment map")
+	for _, v := range s.views {
+		eps = append(eps, "GET  /v1/"+v.Path+v.Usage)
 	}
 	sort.Strings(eps)
 	return eps
@@ -131,28 +123,24 @@ func (s *Server) Register(mux *http.ServeMux) {
 		mux.HandleFunc("POST /v1/deploy/promote", s.count("promote", s.handleDeployVerb("promote")))
 		mux.HandleFunc("POST /v1/deploy/rollback", s.count("rollback", s.handleDeployVerb("rollback")))
 	}
-	if s.queries.Fleet != nil {
-		mux.HandleFunc("GET /v1/fleet", s.count("fleet", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, s.queries.Fleet())
-		}))
+	for _, v := range s.views {
+		mux.HandleFunc("GET /v1/"+v.Path, s.count(v.Path, serveView(v.Get)))
 	}
-	if s.queries.RIB != nil {
-		mux.HandleFunc("GET /v1/rib", s.count("rib", s.handleRIB))
-	}
-	if s.queries.Health != nil {
-		mux.HandleFunc("GET /v1/health", s.count("health", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, s.queries.Health())
-		}))
-	}
-	if s.queries.Catchment != nil {
-		mux.HandleFunc("GET /v1/catchment", s.count("catchment", func(w http.ResponseWriter, r *http.Request) {
-			v, err := s.queries.Catchment()
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
+}
+
+// serveView answers a View's Get as JSON, mapping ErrBadQuery to 400
+// and any other error to 500.
+func serveView(get func(url.Values) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, err := get(r.URL.Query())
+		switch {
+		case errors.Is(err, ErrBadQuery):
+			writeError(w, http.StatusBadRequest, err)
+		case err != nil:
+			writeError(w, http.StatusInternalServerError, err)
+		default:
 			writeJSON(w, http.StatusOK, v)
-		}))
+		}
 	}
 }
 
@@ -380,33 +368,6 @@ func (s *Server) subscribers() int {
 		return 0
 	}
 	return s.hub.Subscribers()
-}
-
-func (s *Server) handleRIB(w http.ResponseWriter, r *http.Request) {
-	pop := r.FormValue("pop")
-	if pop == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("ctlplane: want pop=NAME"))
-		return
-	}
-	table := r.FormValue("table")
-	if table == "" {
-		table = "experiments"
-	}
-	var prefix netip.Prefix
-	if raw := r.FormValue("prefix"); raw != "" {
-		p, err := netip.ParsePrefix(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("ctlplane: bad prefix: %v", err))
-			return
-		}
-		prefix = p
-	}
-	v, err := s.queries.RIB(pop, table, prefix)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // deployRequest is the body of the deploy verbs.

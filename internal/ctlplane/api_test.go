@@ -3,10 +3,12 @@ package ctlplane
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -55,10 +57,20 @@ func newAPIHarness(t *testing.T) *apiHarness {
 		Reconciler: rec,
 		Hub:        hub,
 		Deploy:     &Deploy{Store: cfgStore, Deployer: deployer},
-		Queries: Queries{
-			Fleet: func() any { return []string{"seattle", "amsterdam"} },
+		Views: []View{
+			{Path: "fleet", Usage: "  PoPs", Get: func(url.Values) (any, error) {
+				return []string{"seattle", "amsterdam"}, nil
+			}},
+			{Path: "echo", Usage: "?x=V  echoes x", Get: func(q url.Values) (any, error) {
+				switch q.Get("x") {
+				case "":
+					return nil, fmt.Errorf("%w: want x=V", ErrBadQuery)
+				case "fail":
+					return nil, errors.New("backend down")
+				}
+				return map[string]string{"x": q.Get("x")}, nil
+			}},
 		},
-		Logf: t.Logf,
 	})
 	mux := http.NewServeMux()
 	api.Register(mux)
@@ -262,5 +274,83 @@ func TestAPIUnprocessableWhenActuatorRejects(t *testing.T) {
 	resp, _ := h.do(t, "POST", "/v1/experiments", testSpec("alpha"))
 	if resp.StatusCode != 422 {
 		t.Fatalf("rejected create -> %d, want 422", resp.StatusCode)
+	}
+}
+
+// TestAPIIndexMatchesMux checks that the index and the mux come from the
+// same table: every GET path the index lists is mounted, and a path it
+// does not list is not.
+func TestAPIIndexMatchesMux(t *testing.T) {
+	h := newAPIHarness(t)
+	h.do(t, "POST", "/v1/experiments", testSpec("alpha"))
+	resp, body := h.do(t, "GET", "/v1/", nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("index -> %d %s", resp.StatusCode, body)
+	}
+	var index struct {
+		Endpoints []string `json:"endpoints"`
+	}
+	if err := json.Unmarshal(body, &index); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, ep := range index.Endpoints {
+		method, rest, _ := strings.Cut(ep, " ")
+		if method != "GET" {
+			continue
+		}
+		path := strings.Fields(rest)[0]
+		path, _, _ = strings.Cut(path, "?")
+		path, _, _ = strings.Cut(path, "[")
+		path = strings.ReplaceAll(path, "{name}", "alpha")
+		resp, err := h.srv.Client().Get(h.srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close() // /v1/watch streams; its status is enough
+		if resp.StatusCode == http.StatusNotFound {
+			t.Errorf("index lists %s but GET %s -> 404", ep, path)
+		}
+		checked++
+	}
+	if checked < 8 {
+		t.Fatalf("index listed only %d GET endpoints: %v", checked, index.Endpoints)
+	}
+	if !strings.Contains(string(body), "/v1/echo?x=V") {
+		t.Fatalf("index does not list the echo view: %s", body)
+	}
+	if resp, _ := h.do(t, "GET", "/v1/unlisted", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unlisted path -> %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestAPIViewErrors checks a view's error mapping: ErrBadQuery is the
+// caller's fault (400), anything else the server's (500), both in the
+// JSON error envelope.
+func TestAPIViewErrors(t *testing.T) {
+	h := newAPIHarness(t)
+	for _, tc := range []struct {
+		query string
+		code  int
+		want  string
+	}{
+		{"?x=hello", 200, `"x": "hello"`},
+		{"", 400, "want x=V"},
+		{"?x=fail", 500, "backend down"},
+	} {
+		resp, body := h.do(t, "GET", "/v1/echo"+tc.query, nil)
+		if resp.StatusCode != tc.code || !strings.Contains(string(body), tc.want) {
+			t.Errorf("echo%s -> %d %s, want %d with %q", tc.query, resp.StatusCode, body, tc.code, tc.want)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("echo%s Content-Type %q", tc.query, ct)
+		}
+		if tc.code == 200 {
+			continue
+		}
+		var env apiError
+		if err := json.Unmarshal(body, &env); err != nil || env.Error == "" {
+			t.Errorf("echo%s body is not the error envelope: %s", tc.query, body)
+		}
 	}
 }

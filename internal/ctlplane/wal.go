@@ -324,8 +324,9 @@ func decodeWALFile(name string, data []byte) (recs []walRecord, truncateAt int64
 }
 
 // loadSnapshot reads and verifies the snapshot file; a missing file is
-// a fresh start, any damage is fail-closed (snapshots are written
-// atomically, so a bad one is corruption, not a crash artifact).
+// a fresh start, any damage is fail-closed (Compact syncs the snapshot's
+// data before renaming it into place, so a bad one is corruption, not a
+// crash artifact).
 func loadSnapshot(path string) (*walSnapshot, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -411,6 +412,12 @@ func OpenWAL(dir string) (*WAL, *RecoveredState, error) {
 			return nil, nil, err
 		}
 		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+		// The log may have just been created: make its directory entry
+		// durable too.
+		if err := syncDir(dir); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -578,9 +585,10 @@ func (w *WAL) needsCompact() bool {
 }
 
 // Compact checkpoints the current state into the snapshot file
-// (written atomically: temp file + rename) and truncates the WAL —
-// the snapshot-then-truncate discipline. The caller must hold the
-// owning store's lock (the snapshot hook reads store state directly).
+// (written durably: synced temp file, rename, synced directory) and
+// truncates the WAL — the snapshot-then-truncate discipline. The caller
+// must hold the owning store's lock (the snapshot hook reads store
+// state directly).
 func (w *WAL) Compact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -594,13 +602,7 @@ func (w *WAL) Compact() error {
 		return err
 	}
 	data := append(append([]byte(nil), snapMagic...), encodeFrame(payload)...)
-	path := filepath.Join(w.dir, snapFileName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := writeFileSynced(filepath.Join(w.dir, snapFileName), data); err != nil {
 		return err
 	}
 	// Snapshot is durable; the WAL's records are superseded. A crash
@@ -635,5 +637,45 @@ func (w *WAL) Close() error {
 	}
 	err := w.f.Close()
 	w.f = nil
+	return err
+}
+
+// writeFileSynced replaces path with data through a temp file that is
+// synced before the rename, then syncs the directory so the rename
+// itself survives a power loss. Without the first sync the rename can
+// reach disk before the data does.
+func writeFileSynced(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes the entries created or renamed in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -643,11 +644,36 @@ func ReadSegmentFile(path string) ([]Record, error) {
 	return seg.records()
 }
 
-// writeFile atomically writes the sealed image of s to its path.
+// writeFile atomically and durably writes the sealed image of s to its
+// path: the temp file is synced before the rename (or the rename can
+// reach disk before the data), and the directory after it.
 func (s *segment) writeFile() error {
 	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, s.encode(), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.path)
+	_, err = f.Write(s.encode())
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(filepath.Dir(s.path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -3,6 +3,7 @@ package peering
 import (
 	"fmt"
 	"net/netip"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/ctlplane"
 	"repro/internal/guard"
+	"repro/internal/history"
 	"repro/internal/policy"
 	"repro/internal/rib"
 	"repro/internal/telemetry"
@@ -128,13 +130,7 @@ func NewControlPlane(p *Platform, cfg ControlPlaneConfig) (*ControlPlane, error)
 		Reconciler: reconciler,
 		Hub:        hub,
 		Deploy:     &ctlplane.Deploy{Store: p.Store, Deployer: deployer},
-		Queries: ctlplane.Queries{
-			Fleet:     p.fleetView,
-			RIB:       p.ribView,
-			Health:    func() any { return p.HealthReport() },
-			Catchment: p.catchmentQuery(),
-		},
-		Logf: cfg.Logf,
+		Views:      p.Views(),
 	})
 
 	// Tee the platform's monitoring feed and health-ladder transitions
@@ -192,6 +188,127 @@ func (p *Platform) controlPlaneBaseModel(managed map[string]bool) config.Model {
 	return m
 }
 
+// Views is the platform's read-only /v1 view table: fleet, RIB and
+// health always; catchment and TE status when the platform is
+// configured for TE; the history queries when a history store records
+// route events.
+func (p *Platform) Views() []ctlplane.View {
+	vs := []ctlplane.View{
+		{Path: "fleet", Usage: "                          PoPs and interconnections",
+			Get: func(url.Values) (any, error) { return p.fleetView(), nil }},
+		{Path: "rib", Usage: "?pop=P[&table=experiments|default][&prefix=X]  routes at a PoP",
+			Get: p.ribView},
+		{Path: "health", Usage: "                         guard ladder report",
+			Get: func(url.Values) (any, error) { return p.HealthReport(), nil }},
+	}
+	if p.cfg.TE != nil {
+		vs = append(vs,
+			ctlplane.View{Path: "catchment", Usage: "[?prefix=X]          anycast catchment map",
+				Get: p.catchmentView},
+			ctlplane.View{Path: "te", Usage: "                             TE controller progress: rounds, shares, actions",
+				Get: func(url.Values) (any, error) {
+					if te := p.te.Load(); te != nil {
+						return te.Status(), nil
+					}
+					return nil, fmt.Errorf("peering: no TE controller is running")
+				}},
+		)
+	}
+	h := p.History()
+	if h == nil {
+		return vs
+	}
+	return append(vs,
+		ctlplane.View{Path: "history/state", Usage: "?prefix=P[&at=T]       routes alive at an instant (RFC 3339)",
+			Get: func(q url.Values) (any, error) {
+				v := viewQuery{q: q}
+				prefix, at := v.prefix(netip.Prefix{}), v.time("at", time.Now())
+				if v.err != nil {
+					return nil, v.err
+				}
+				return h.StateAt(prefix, at)
+			}},
+		ctlplane.View{Path: "history/between", Usage: "?prefix=P[&from=T][&to=T]  a prefix's event timeline",
+			Get: func(q url.Values) (any, error) {
+				v := viewQuery{q: q}
+				prefix, from, to := v.prefix(netip.Prefix{}), v.time("from", time.Time{}), v.time("to", time.Now())
+				if v.err != nil {
+					return nil, v.err
+				}
+				return h.Between(prefix, from, to)
+			}},
+		ctlplane.View{Path: "history/diff", Usage: "?a=POP&b=POP[&at=T]     routes held at exactly one PoP",
+			Get: func(q url.Values) (any, error) {
+				v := viewQuery{q: q}
+				a, b, at := v.str("a"), v.str("b"), v.time("at", time.Now())
+				if v.err != nil {
+					return nil, v.err
+				}
+				return h.DiffPoPs(a, b, at)
+			}},
+		ctlplane.View{Path: "history/stats", Usage: "                  store accounting and vantages",
+			Get: func(url.Values) (any, error) {
+				return struct {
+					history.Stats
+					Vantages []string `json:"vantages"`
+				}{h.Stats(), h.Vantages()}, nil
+			}},
+	)
+}
+
+// viewQuery parses a view's query parameters. Each accessor returns the
+// zero value on a bad parameter and keeps the first error, which wraps
+// ctlplane.ErrBadQuery.
+type viewQuery struct {
+	q   url.Values
+	err error
+}
+
+func (v *viewQuery) fail(format string, args ...any) {
+	if v.err == nil {
+		v.err = fmt.Errorf("%w: "+format, append([]any{ctlplane.ErrBadQuery}, args...)...)
+	}
+}
+
+// str returns a required parameter.
+func (v *viewQuery) str(key string) string {
+	s := v.q.Get(key)
+	if s == "" {
+		v.fail("want %s=VALUE", key)
+	}
+	return s
+}
+
+// prefix parses the prefix parameter; an absent one yields fallback,
+// and is an error when fallback is the zero Prefix.
+func (v *viewQuery) prefix(fallback netip.Prefix) netip.Prefix {
+	raw := v.q.Get("prefix")
+	if raw == "" {
+		if !fallback.IsValid() {
+			v.fail("want prefix=P")
+		}
+		return fallback
+	}
+	p, err := netip.ParsePrefix(raw)
+	if err != nil {
+		v.fail("prefix: %v", err)
+	}
+	return p
+}
+
+// time parses an RFC 3339 parameter; an absent one yields fallback.
+func (v *viewQuery) time(key string, fallback time.Time) time.Time {
+	raw := v.q.Get(key)
+	if raw == "" {
+		return fallback
+	}
+	t, err := time.Parse(time.RFC3339Nano, raw)
+	if err != nil {
+		v.fail("%s: %v (want RFC 3339)", key, err)
+	}
+	return t
+}
+
 // fleetView is the /v1/fleet payload: PoPs with session/route counts
 // and the provisioned backbone.
 func (p *Platform) fleetView() any {
@@ -218,24 +335,37 @@ func (p *Platform) fleetView() any {
 	}{p.cfg.ASN, pops, p.BackboneLinks()}
 }
 
-// ribView is the /v1/rib query hook: routes at one PoP from either the
-// experiment-prefix table or the router-managed default table.
-func (p *Platform) ribView(popName, table string, prefix netip.Prefix) (any, error) {
+// ribView is the /v1/rib view: routes at one PoP from either the
+// experiment-prefix table (the default) or the router-managed default
+// table, optionally filtered to one prefix. Every error is the
+// caller's: a missing or unknown PoP, table or prefix.
+func (p *Platform) ribView(q url.Values) (any, error) {
+	v := viewQuery{q: q}
+	popName := v.str("pop")
+	var prefix netip.Prefix
+	if q.Get("prefix") != "" {
+		prefix = v.prefix(netip.Prefix{})
+	}
+	if v.err != nil {
+		return nil, v.err
+	}
 	pop := p.PoP(popName)
 	if pop == nil {
-		return nil, fmt.Errorf("peering: unknown pop %s", popName)
+		return nil, fmt.Errorf("%w: peering: unknown pop %s", ctlplane.ErrBadQuery, popName)
 	}
+	table := q.Get("table")
 	var t *rib.Table
 	switch table {
-	case "experiments":
+	case "", "experiments":
+		table = "experiments"
 		t = pop.Router.ExperimentRoutes()
 	case "default":
 		t = pop.Router.DefaultTable()
 		if t == nil {
-			return nil, fmt.Errorf("peering: pop %s does not maintain a default table", popName)
+			return nil, fmt.Errorf("%w: peering: pop %s does not maintain a default table", ctlplane.ErrBadQuery, popName)
 		}
 	default:
-		return nil, fmt.Errorf("peering: unknown table %q (want experiments or default)", table)
+		return nil, fmt.Errorf("%w: peering: unknown table %q (want experiments or default)", ctlplane.ErrBadQuery, table)
 	}
 	type routeRow struct {
 		Prefix  string `json:"prefix"`
@@ -280,19 +410,24 @@ func (p *Platform) ribView(popName, table string, prefix netip.Prefix) (any, err
 	}{popName, table, routes}, nil
 }
 
-// catchmentQuery returns the /v1/catchment hook, or nil when the
-// platform has no TE configuration to measure against.
-func (p *Platform) catchmentQuery() func() (any, error) {
-	te := p.cfg.TE
-	if te == nil || !te.Prefix.IsValid() {
-		return nil
+// catchmentView is the /v1/catchment view. Under a running TE
+// controller it resolves the map for the controller's populations;
+// otherwise it uses PlatformConfig.TE's populations, or the raw per-PoP
+// views when those are unset. ?prefix= overrides the TE prefix.
+func (p *Platform) catchmentView(q url.Values) (any, error) {
+	cfg := *p.cfg.TE
+	if te := p.te.Load(); te != nil {
+		cfg.Prefix, cfg.Populations = te.cfg.Prefix, te.Populations()
 	}
-	return func() (any, error) {
-		if len(te.Populations) == 0 {
-			return p.CatchmentViews(te.Prefix), nil
-		}
-		return p.ResolveCatchments(te.Prefix, te.Populations)
+	v := viewQuery{q: q}
+	prefix := v.prefix(cfg.Prefix)
+	if v.err != nil {
+		return nil, v.err
 	}
+	if len(cfg.Populations) == 0 {
+		return p.CatchmentViews(prefix), nil
+	}
+	return p.ResolveCatchments(prefix, cfg.Populations)
 }
 
 // expRuntime is the actuator's per-experiment state: the audited client

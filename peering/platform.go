@@ -20,6 +20,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -110,6 +111,8 @@ type Platform struct {
 	bbLinks        map[[2]string]BackboneLink
 	v6AutoPool     netip.Prefix
 	v6AutoSeq      int
+
+	te atomic.Pointer[TEController] // the running TE controller, served at /v1/te
 
 	guardStop   chan struct{}
 	guardOnce   sync.Once

@@ -50,9 +50,6 @@ type TEConfig struct {
 	Registry *telemetry.Registry
 }
 
-// TE returns the platform's traffic-engineering defaults, or nil.
-func (p *Platform) TE() *TEConfig { return p.cfg.TE }
-
 // CatchmentViews snapshots every PoP's contribution to catchment
 // resolution: its local neighbor set plus its experiment-FIB snapshot
 // (built fresh, so the view reflects the routes of this instant).
@@ -222,7 +219,9 @@ type TEController struct {
 // NewTEController wires a controller: cfg falls back to the platform's
 // PlatformConfig.TE defaults field by field, the population is
 // generated if not supplied, and the client must already have open
-// tunnels and established BGP at every PoP.
+// tunnels and established BGP at every PoP. The controller becomes the
+// platform's running one, whose status and populations the /v1/te and
+// /v1/catchment views serve.
 func (p *Platform) NewTEController(client *Client, cfg *TEConfig) (*TEController, error) {
 	base := TEConfig{}
 	if p.cfg.TE != nil {
@@ -299,7 +298,9 @@ func (p *Platform) NewTEController(client *Client, cfg *TEConfig) (*TEController
 			excluded:  make(map[uint32]bool),
 		}
 	}
-	return &TEController{platform: p, client: client, cfg: base, act: act, pops: pops}, nil
+	te := &TEController{platform: p, client: client, cfg: base, act: act, pops: pops}
+	p.te.Store(te)
+	return te, nil
 }
 
 // Populations returns the client placement under engineering.

@@ -2,9 +2,9 @@
 # Black-box smoke test of the peeringd control-plane API: boot a small
 # platform with a durable state dir, drive a full experiment lifecycle
 # purely over HTTP — index, dry-run, create, idempotent re-create,
-# convergence, RIB query, stale CAS — kill the daemon with SIGKILL and
-# check specs and deploy revisions survive the restart, then delete and
-# check the daemon drains cleanly on SIGTERM.
+# convergence, RIB query, history views, stale CAS — kill the daemon
+# with SIGKILL and check specs and deploy revisions survive the restart,
+# then delete and check the daemon drains cleanly on SIGTERM.
 #
 # Usage: scripts/api_smoke.sh [host:port]   (default 127.0.0.1:19179)
 set -euo pipefail
@@ -37,7 +37,7 @@ go build -o "$workdir/peeringd" ./cmd/peeringd
 
 boot() {
     "$workdir/peeringd" -pops 2 -edges 60 -ixp-members 10 -metrics "$addr" \
-        -state-dir "$workdir/state" >>"$workdir/peeringd.log" 2>&1 &
+        -state-dir "$workdir/state" -history "$workdir/hist" >>"$workdir/peeringd.log" 2>&1 &
     pd=$!
     say "waiting for $base"
     for _ in $(seq 1 120); do
@@ -51,6 +51,18 @@ boot
 curl -fsS "$base/" | grep -q '"service": "peeringd"' || fail "root index is not the JSON service index"
 [ "$(req GET /no-such-path)" = 404 ] || fail "unknown path did not 404"
 say "index + 404 ok"
+
+# History is served as /v1 views only; the legacy top-level paths are
+# gone.
+curl -fsS "$base/" | grep -q '/v1/history/stats' || fail "root index does not list /v1/history/stats"
+[ "$(req GET /v1/history/stats)" = 200 ] || fail "history stats did not return 200"
+grep -q '"vantages"' "$workdir/last.json" || fail "history stats is not JSON: $(cat "$workdir/last.json")"
+[ "$(req GET '/v1/history/state?prefix=bogus')" = 400 ] || fail "bad history prefix did not 400"
+grep -q '"error"' "$workdir/last.json" || fail "bad history prefix lacks the error envelope"
+for legacy in /history/stats /te/status; do
+    [ "$(req GET "$legacy")" = 404 ] || fail "legacy path $legacy still served"
+done
+say "history views ok; legacy paths 404"
 
 spec='{"name":"smoke","owner":"ci","asn":61574,"prefixes":["184.164.224.0/24"],"announcements":[{"prefix":"184.164.224.0/24","pops":["pop00","pop01"]}]}'
 
